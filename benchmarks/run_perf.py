@@ -37,10 +37,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.bench_perf_scale import DEPTHS, collect_perf_report
 
 
+def depth_list(text: str) -> list[int]:
+    """``--depths`` value: comma-separated positive integers."""
+    try:
+        depths = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        depths = []
+    if not depths or min(depths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return depths
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--depths",
+        type=depth_list,
         default=",".join(str(d) for d in DEPTHS),
         help="comma-separated call-tree depths (default: %(default)s)",
     )
@@ -69,12 +83,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    depths = [int(part) for part in args.depths.split(",") if part.strip()]
     backends = (
         ("interp", "compiled") if args.backend == "both" else (args.backend,)
     )
     report = collect_perf_report(
-        depths=depths, repeats=args.repeats, workers=args.workers,
+        depths=args.depths, repeats=args.repeats, workers=args.workers,
         backends=backends,
     )
 

@@ -54,7 +54,9 @@ server to finish in-flight jobs and shut down; see ``docs/SERVE.md``.
 Exit codes are uniform across subcommands: **0** success, **1** the
 command ran but the outcome is negative (bug not localized, mutation
 accuracy below 100%), **2** usage or input errors (bad flags, missing or
-unparsable files, unknown criteria).
+unparsable files, unknown criteria), **3** an internal error (a bug in
+repro itself), reported as one ``internal error: <Type>: <message>``
+line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -1054,9 +1056,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+    except Exception as error:  # a bug, not bad input: no traceback
+        print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 3
     finally:
         if backend is not None:
             if prior_backend is None:

@@ -103,31 +103,3 @@ def run_compiled(
 
     program = compile_program(analysis)
     return Runtime(program, io=io, step_limit=step_limit, budget=budget).run()
-
-
-def compiled_trace_session(
-    analysis,
-    inputs=None,
-    side_effects=None,
-    loop_units=None,
-    step_limit: int = 2_000_000,
-    budget=None,
-    max_tree_nodes: int | None = None,
-    profiler=None,
-):
-    """A ready-to-run :class:`~repro.compile.emit.TraceSession` — the
-    compiled counterpart of a ``(Tracer, Interpreter)`` pair."""
-    from repro.compile.emit import TraceSession
-    from repro.pascal.interpreter import PascalIO
-
-    program = compile_program(
-        analysis, side_effects=side_effects, loop_units=loop_units
-    )
-    return TraceSession(
-        program,
-        io=PascalIO(inputs),
-        step_limit=step_limit,
-        budget=budget,
-        max_tree_nodes=max_tree_nodes,
-        profiler=profiler,
-    )

@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.analysis.sideeffects import analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError, UndefinedValueError
-from repro.pascal.interpreter import GotoSignal
+from repro.pascal.interpreter import Cell, GotoSignal
 from repro.pascal.semantics import (
     AnalyzedProgram,
     IO_PROCEDURES,
@@ -37,8 +37,9 @@ from repro.pascal.semantics import (
 from repro.pascal.symbols import ArrayTypeInfo, SymbolKind
 from repro.pascal.values import ArrayValue, UNDEFINED, copy_value, format_value
 from repro.compile import ops
-from repro.compile.emit import LoopPlan, RoutinePlan, enter_stmt
-from repro.compile.runtime import CCell, CFrame, adapt_value, tick
+from repro.compile.emit import enter_stmt
+from repro.compile.runtime import CFrame, adapt_value, tick
+from repro.tracing.builder import UnitPlan, loop_plan, routine_plan
 
 
 class CompiledProgram:
@@ -129,8 +130,8 @@ def _local_cell_factory(symbol):
         low, high = value_type.low, value_type.high
         from repro.pascal.values import ArrayValue
 
-        return lambda: CCell(ArrayValue(low, high), symbol)
-    return lambda: CCell(UNDEFINED, symbol)
+        return lambda: Cell(ArrayValue(low, high), symbol)
+    return lambda: Cell(UNDEFINED, symbol)
 
 
 class Compiler:
@@ -143,7 +144,6 @@ class Compiler:
         self.layouts: dict = {}
         self.body_refs: dict = {}
         self.plans: dict = {}
-        self._entry_live_cache: dict = {}
 
     # ------------------------------------------------------------------
     # program assembly
@@ -170,7 +170,7 @@ class Compiler:
     # storage access
 
     def cell_accessor(self, ctx: _Ctx, symbol):
-        """Compile symbol access to a ``(rt, frame) -> CCell`` closure:
+        """Compile symbol access to a ``(rt, frame) -> Cell`` closure:
         a globals-slab index, an own-frame slot, or a static-link walk."""
         owner = symbol.owner
         if owner is None:
@@ -193,15 +193,6 @@ class Compiler:
             return frame.slots[index]
 
         return walk
-
-    def _safe_accessor(self, ctx: _Ctx, symbol):
-        """An accessor for binding plans; None when the symbol has no
-        storage reachable from this context (the tracer snapshots such
-        bindings as UNDEFINED rather than failing)."""
-        try:
-            return self.cell_accessor(ctx, symbol)
-        except KeyError:
-            return None
 
     def _up_getter(self, ctx: _Ctx, target):
         """Static link for a frame of ``target`` created from ``ctx``."""
@@ -227,79 +218,36 @@ class Compiler:
     # ------------------------------------------------------------------
     # binding plans (traced mode)
 
-    def _entry_live(self, info):
-        cached = self._entry_live_cache.get(info.symbol)
-        if cached is not None:
-            return cached
-        from repro.analysis.cfg import build_cfg
-        from repro.analysis.dataflow import live_variables
+    def bind_plan(self, ctx: _Ctx, plan: UnitPlan) -> UnitPlan:
+        """Map each planned symbol to its slot accessor from ``ctx``;
+        None when the symbol has no storage reachable there (the builder
+        snapshots such bindings as UNDEFINED rather than failing)."""
 
-        cfg = build_cfg(info, self.analysis)
-        live = live_variables(cfg, self.side_effects)
-        result = set(live.live_out[cfg.entry])
-        self._entry_live_cache[info.symbol] = result
-        return result
+        def accessor_of(symbol):
+            try:
+                return self.cell_accessor(ctx, symbol)
+            except KeyError:
+                return None
 
-    def plan_of(self, target) -> RoutinePlan:
+        return plan.bind(accessor_of)
+
+    def loop_unit_plan(self, ctx: _Ctx, stmt_id: int) -> UnitPlan | None:
+        """The bound plan of the loop unit at ``stmt_id``, if it is one."""
+        unit = self.loop_units.get(stmt_id)
+        return None if unit is None else self.bind_plan(ctx, loop_plan(unit))
+
+    def plan_of(self, target) -> UnitPlan:
         plan = self.plans.get(target)
         if plan is None:
-            plan = self._build_plan(target)
-            self.plans[target] = plan
-        return plan
-
-    def _build_plan(self, target) -> RoutinePlan:
-        info = self.analysis.routines[target]
-        layout = self.layouts[target]
-        callee_ctx = _Ctx(info, owner=target, lex_depth=layout.lex_depth)
-        effects = self.side_effects.of(target)
-        entry_live = self._entry_live(info)
-        input_entries = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VALUE, ast.ParamMode.IN_):
-                input_entries.append(
-                    (param.name, False, self._safe_accessor(callee_ctx, param))
-                )
-            elif param in effects.ref_params and param in entry_live:
-                input_entries.append(
-                    (param.name, False, self._safe_accessor(callee_ctx, param))
-                )
-        for symbol in sorted(effects.gref, key=lambda s: s.name):
-            if symbol in entry_live:
-                input_entries.append(
-                    (symbol.name, True, self._safe_accessor(callee_ctx, symbol))
-                )
-        output_entries = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT):
-                if param in effects.mod_params:
-                    output_entries.append(
-                        (param.name, False, self._safe_accessor(callee_ctx, param))
-                    )
-        for symbol in sorted(effects.gmod, key=lambda s: s.name):
-            output_entries.append(
-                (symbol.name, True, self._safe_accessor(callee_ctx, symbol))
+            callee_ctx = _Ctx(
+                self.analysis.routines[target],
+                owner=target,
+                lex_depth=self.layouts[target].lex_depth,
             )
-        return RoutinePlan(
-            unit_name=info.name,
-            routine=info.symbol,
-            input_entries=input_entries,
-            output_entries=output_entries,
-            result_slot=layout.result_slot,
-        )
-
-    def _loop_plan(self, ctx: _Ctx, unit) -> LoopPlan:
-        return LoopPlan(
-            stmt_id=unit.stmt_id,
-            name=unit.name,
-            input_entries=[
-                (symbol.name, self._safe_accessor(ctx, symbol))
-                for symbol in unit.inputs
-            ],
-            output_entries=[
-                (symbol.name, self._safe_accessor(ctx, symbol))
-                for symbol in unit.outputs
-            ],
-        )
+            plan = self.plans[target] = self.bind_plan(
+                callee_ctx, routine_plan(self.analysis, self.side_effects, target)
+            )
+        return plan
 
     # ------------------------------------------------------------------
     # calls
@@ -333,7 +281,7 @@ class Compiler:
                 for make in local_factories:
                     slots.append(make())
                 if result_slot is not None:
-                    slots.append(CCell(UNDEFINED, result_symbol))
+                    slots.append(Cell(UNDEFINED, result_symbol))
                 frame = CFrame(slots, up_getter(f))
                 rt.depth += 1
                 try:
@@ -353,10 +301,6 @@ class Compiler:
             return run_call_plain
 
         plan = self.plan_of(target)
-        param_attrib = [
-            (index, param.param_mode == ast.ParamMode.VALUE)
-            for index, param in enumerate(info.params)
-        ]
         call_site_id = call.node_id
 
         def run_call(rt, f):
@@ -365,26 +309,14 @@ class Compiler:
                 raise PascalRuntimeError(f"call depth exceeded in {name}")
             for make in local_factories:
                 slots.append(make())
+            result_cell = None
             if result_slot is not None:
-                slots.append(CCell(UNDEFINED, result_symbol))
+                result_cell = Cell(UNDEFINED, result_symbol)
+                slots.append(result_cell)
             frame = CFrame(slots, up_getter(f))
             rt.depth += 1
-            prev = rt.enter_call(plan, frame, call_site_id)
-            # Attribute incoming parameter values to the call occurrence.
-            ost = rt.occ_stack
-            if ost:
-                call_occ = ost[-1]
-                for index, is_value in param_attrib:
-                    cell = slots[index]
-                    if is_value:
-                        cell.writers = {None: call_occ}
-                    else:
-                        writers = cell.writers
-                        if writers is None:
-                            # First sight of a by-reference cell.
-                            cell.writers = {None: call_occ}
-                        elif None not in writers:
-                            writers[None] = call_occ
+            # The formals are the first slots.
+            rt.enter_call(plan, frame, call_site_id, slots)
             via_goto = None
             try:
                 body_ref[0](rt, frame)
@@ -392,10 +324,10 @@ class Compiler:
                 via_goto = signal.label
                 raise
             finally:
-                rt.exit_call(plan, frame, prev, via_goto)
+                rt.exit_call(plan, frame, via_goto, result_cell)
                 rt.depth -= 1
-            if result_slot is not None:
-                value = slots[result_slot].value
+            if result_cell is not None:
+                value = result_cell.value
                 if value is UNDEFINED:
                     raise UndefinedValueError(
                         f"function {name} returned without assigning a result",
@@ -407,7 +339,7 @@ class Compiler:
         return run_call
 
     def _param_binder(self, ctx: _Ctx, param, arg):
-        """Compile one argument to a ``(rt, f) -> CCell`` closure."""
+        """Compile one argument to a ``(rt, f) -> Cell`` closure."""
         if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT, ast.ParamMode.IN_):
             if isinstance(arg, ast.VarRef):
                 symbol = self.analysis.ref_symbol[arg.node_id]
@@ -439,14 +371,14 @@ class Compiler:
         if isinstance(param_type, ArrayTypeInfo):
 
             def bind_array_value(rt, f):
-                return CCell(
+                return Cell(
                     adapt_value(copy_value(evaluate(rt, f)), param_type), param
                 )
 
             return bind_array_value
 
         def bind_value(rt, f):
-            return CCell(evaluate(rt, f), param)
+            return Cell(evaluate(rt, f), param)
 
         return bind_value
 
@@ -894,42 +826,28 @@ class Compiler:
         enter = enter_stmt
         stmt_id = stmt.node_id
         line = location.line
-        unit = self.loop_units.get(stmt_id)
-        if unit is None:
+        plan = self.loop_unit_plan(ctx, stmt_id)
 
-            def while_stmt(rt, f):
-                enter(rt, stmt_id, line, location)
-                while True:
-                    _tick(rt, location)
-                    if not condition(rt, f):
-                        break
-                    body(rt, f)
-                rt.occ_stack.pop()
-
-            return while_stmt
-        plan = self._loop_plan(ctx, unit)
-
-        def while_unit(rt, f):
+        def while_stmt(rt, f):
             enter(rt, stmt_id, line, location)
-            prev = rt.cur_node
-            loop_node = rt.loop_enter(plan, f)
-            iter_node = None
+            if plan is not None:
+                rt.enter_loop(plan, f)
             iterations = 0
             try:
                 while True:
                     _tick(rt, location)
                     if not condition(rt, f):
                         break
-                    iterations += 1
-                    iter_node = rt.loop_iteration(
-                        plan, f, loop_node, iter_node, iterations
-                    )
+                    if plan is not None:
+                        iterations += 1
+                        rt.next_iteration(plan, f, iterations)
                     body(rt, f)
             finally:
-                rt.loop_exit(plan, f, loop_node, iter_node, prev)
+                if plan is not None:
+                    rt.exit_loop(plan, f)
             rt.occ_stack.pop()
 
-        return while_unit
+        return while_stmt
 
     def _stmt_repeat(self, ctx: _Ctx, stmt):
         body = self.compile_stmt_list(ctx, stmt.body)
@@ -950,42 +868,28 @@ class Compiler:
         enter = enter_stmt
         stmt_id = stmt.node_id
         line = location.line
-        unit = self.loop_units.get(stmt_id)
-        if unit is None:
+        plan = self.loop_unit_plan(ctx, stmt_id)
 
-            def repeat_stmt(rt, f):
-                enter(rt, stmt_id, line, location)
-                while True:
-                    _tick(rt, location)
-                    body(rt, f)
-                    if condition(rt, f):
-                        break
-                rt.occ_stack.pop()
-
-            return repeat_stmt
-        plan = self._loop_plan(ctx, unit)
-
-        def repeat_unit(rt, f):
+        def repeat_stmt(rt, f):
             enter(rt, stmt_id, line, location)
-            prev = rt.cur_node
-            loop_node = rt.loop_enter(plan, f)
-            iter_node = None
+            if plan is not None:
+                rt.enter_loop(plan, f)
             iterations = 0
             try:
                 while True:
                     _tick(rt, location)
-                    iterations += 1
-                    iter_node = rt.loop_iteration(
-                        plan, f, loop_node, iter_node, iterations
-                    )
+                    if plan is not None:
+                        iterations += 1
+                        rt.next_iteration(plan, f, iterations)
                     body(rt, f)
                     if condition(rt, f):
                         break
             finally:
-                rt.loop_exit(plan, f, loop_node, iter_node, prev)
+                if plan is not None:
+                    rt.exit_loop(plan, f)
             rt.occ_stack.pop()
 
-        return repeat_unit
+        return repeat_stmt
 
     def _stmt_for(self, ctx: _Ctx, stmt):
         symbol = self.analysis.for_symbol[stmt.node_id]
@@ -1026,37 +930,9 @@ class Compiler:
         enter = enter_stmt
         stmt_id = stmt.node_id
         line = location.line
-        unit = self.loop_units.get(stmt_id)
-        if unit is None:
+        plan = self.loop_unit_plan(ctx, stmt_id)
 
-            def for_stmt(rt, f):
-                enter(rt, stmt_id, line, location)
-                cell = acc(rt, f)
-                start = start_ev(rt, f)
-                if type(start) is not int:
-                    start = _expect_int(start, start_loc)
-                stop = stop_ev(rt, f)
-                if type(stop) is not int:
-                    stop = _expect_int(stop, stop_loc)
-                ost = rt.occ_stack
-                current = start
-                while keeps_going(current, stop):
-                    _tick(rt, location)
-                    cell.value = current
-                    writers = cell.writers
-                    if writers is None:
-                        cell.writers = {None: ost[-1]}
-                    else:
-                        writers.clear()
-                        writers[None] = ost[-1]
-                    body(rt, f)
-                    current += step
-                ost.pop()
-
-            return for_stmt
-        plan = self._loop_plan(ctx, unit)
-
-        def for_unit(rt, f):
+        def for_stmt(rt, f):
             enter(rt, stmt_id, line, location)
             cell = acc(rt, f)
             start = start_ev(rt, f)
@@ -1066,15 +942,13 @@ class Compiler:
             if type(stop) is not int:
                 stop = _expect_int(stop, stop_loc)
             ost = rt.occ_stack
-            prev = rt.cur_node
-            loop_node = rt.loop_enter(plan, f)
-            iter_node = None
+            if plan is not None:
+                rt.enter_loop(plan, f)
             iterations = 0
             try:
                 current = start
                 while keeps_going(current, stop):
                     _tick(rt, location)
-                    iterations += 1
                     cell.value = current
                     writers = cell.writers
                     if writers is None:
@@ -1082,16 +956,17 @@ class Compiler:
                     else:
                         writers.clear()
                         writers[None] = ost[-1]
-                    iter_node = rt.loop_iteration(
-                        plan, f, loop_node, iter_node, iterations
-                    )
+                    if plan is not None:
+                        iterations += 1
+                        rt.next_iteration(plan, f, iterations)
                     body(rt, f)
                     current += step
             finally:
-                rt.loop_exit(plan, f, loop_node, iter_node, prev)
+                if plan is not None:
+                    rt.exit_loop(plan, f)
             ost.pop()
 
-        return for_unit
+        return for_stmt
 
 
 Compiler._STMT_FACTORIES = {

@@ -4,12 +4,6 @@ The compiled backend (see :mod:`repro.compile`) turns the mini-Pascal
 AST into Python closures once per program; this module supplies the
 mutable state those closures run against:
 
-* :class:`CCell` — interpreter-compatible storage cells extended with a
-  per-cell ``writers`` map (element index → last writing occurrence id),
-  replacing the tracer's global ``(id(cell), index)`` dictionary. A
-  whole write clears the map; "all writers of this cell" is then simply
-  ``set(writers.values())`` instead of a scan over every key the trace
-  ever produced.
 * :class:`CFrame` — a slot-addressed activation record. Variable
   references are compiled to direct list indexing (own frame, a static
   ``up``-link hop for nested routines, or the shared globals slab), so
@@ -36,30 +30,11 @@ from repro.pascal.interpreter import (
     PascalIO,
 )
 from repro.pascal.symbols import ArrayTypeInfo
-from repro.pascal.values import ArrayValue, UNDEFINED, default_value
+from repro.pascal.values import ArrayValue, default_value
 
 #: deadline checks fire when ``steps & _DEADLINE_MASK == 0`` (mirrors
 #: the interpreter / repro.resilience.budget.DEADLINE_CHECK_MASK)
 _DEADLINE_MASK = 0x3FF
-
-
-class CCell(Cell):
-    """A storage cell that carries its own dependence bookkeeping.
-
-    ``writers`` is ``None`` until the traced backend records a write;
-    afterwards it maps element index (``None`` = whole cell) to the
-    occurrence id that last wrote that location. Keeping the map on the
-    cell makes write attribution O(1) and writer enumeration O(live
-    writers) — the tracer's global map pays a full scan per output
-    binding instead.
-    """
-
-    __slots__ = ("writers",)
-
-    def __init__(self, value: object = UNDEFINED, symbol=None):
-        self.value = value
-        self.symbol = symbol
-        self.writers: dict[int | None, int] | None = None
 
 
 class CFrame:
@@ -70,7 +45,7 @@ class CFrame:
 
     __slots__ = ("slots", "up")
 
-    def __init__(self, slots: list[CCell], up: "CFrame | None"):
+    def __init__(self, slots: list[Cell], up: "CFrame | None"):
         self.slots = slots
         self.up = up
 
@@ -147,9 +122,9 @@ class Runtime:
         self.steps = 0
         frame = Frame(routine=program.analysis.main)
         cells = frame.cells
-        gslots: list[CCell] = []
+        gslots: list[Cell] = []
         for symbol in program.global_symbols:
-            cell = CCell(default_value(symbol.type), symbol)
+            cell = Cell(default_value(symbol.type), symbol)
             cells[symbol] = cell
             gslots.append(cell)
         self.gslots = gslots

@@ -47,6 +47,15 @@ class SemanticError(PascalError):
     """Raised for name-resolution and type errors."""
 
 
+class NameLookupError(PascalError, KeyError):
+    """Raised when a name the user gave (a routine, a variable, a unit
+    activation) does not resolve. Still a :class:`KeyError`, so lookups
+    guarded by ``except KeyError`` keep working."""
+
+    # KeyError's str() would quote the message.
+    __str__ = Exception.__str__
+
+
 class PascalRuntimeError(PascalError):
     """Raised when program execution fails (division by zero, bad index, ...)."""
 

@@ -68,13 +68,19 @@ class GotoSignal(Exception):
 
 class Cell:
     """One unit of storage. Arrays occupy a single cell holding an
-    :class:`~repro.pascal.values.ArrayValue` mutated in place."""
+    :class:`~repro.pascal.values.ArrayValue` mutated in place.
 
-    __slots__ = ("value", "symbol")
+    ``writers`` is the trace's dependence bookkeeping for this cell:
+    ``None`` until a traced run writes it, then element index (``None``
+    = whole cell) -> the occurrence id that last wrote that location
+    (see :mod:`repro.tracing.builder`)."""
+
+    __slots__ = ("value", "symbol", "writers")
 
     def __init__(self, value: object = UNDEFINED, symbol: Symbol | None = None):
         self.value = value
         self.symbol = symbol
+        self.writers: dict[int | None, int] | None = None
 
     def __repr__(self) -> str:
         name = self.symbol.name if self.symbol is not None else "?"

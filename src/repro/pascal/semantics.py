@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro import cache as _cache
 from repro.pascal import ast_nodes as ast
-from repro.pascal.errors import SemanticError
+from repro.pascal.errors import NameLookupError, SemanticError
 from repro.pascal.symbols import (
     ArrayTypeInfo,
     BOOLEAN,
@@ -115,12 +115,12 @@ class AnalyzedProgram:
             if info.qualified_name == qualified_name or info.name == qualified_name
         ]
         if not matches:
-            raise KeyError(f"no routine named {qualified_name!r}")
+            raise NameLookupError(f"no routine named {qualified_name!r}")
         if len(matches) > 1:
             exact = [info for info in matches if info.qualified_name == qualified_name]
             if len(exact) == 1:
                 return exact[0]
-            raise KeyError(f"ambiguous routine name {qualified_name!r}")
+            raise NameLookupError(f"ambiguous routine name {qualified_name!r}")
         return matches[0]
 
     def all_routines(self) -> list[RoutineInfo]:

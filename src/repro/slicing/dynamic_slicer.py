@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.pascal.errors import NameLookupError
 from repro.slicing.criteria import DynamicCriterion
 from repro.tracing.execution_tree import ExecNode, ExecutionTree
 from repro.tracing.tracer import TraceResult
@@ -65,7 +66,7 @@ def _dynamic_slice(
     node = criterion.node
     seeds = tree.output_writers.get((node.node_id, criterion.variable))
     if seeds is None:
-        raise KeyError(
+        raise NameLookupError(
             f"unit {node.unit_name!r} (node {node.node_id}) has no recorded "
             f"output {criterion.variable!r}"
         )

@@ -20,6 +20,7 @@ from repro.analysis.cfg import CFG, CFGNode, NodeKind, build_cfg
 from repro.analysis.dependence import ProgramDependenceGraph, build_pdg
 from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
+from repro.pascal.errors import NameLookupError
 from repro.pascal.semantics import AnalyzedProgram
 from repro.pascal.symbols import Symbol, SymbolKind
 
@@ -120,7 +121,7 @@ def _resolve(info, names: frozenset[str]) -> set[Symbol]:
             SymbolKind.PARAMETER,
             SymbolKind.RESULT,
         ):
-            raise KeyError(f"no variable {name!r} visible in {info.name!r}")
+            raise NameLookupError(f"no variable {name!r} visible in {info.name!r}")
         symbols.add(symbol)
     return symbols
 

@@ -27,6 +27,7 @@ from repro.analysis.defuse import target_root
 from repro.analysis.dependence import ProgramDependenceGraph, build_pdg
 from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
+from repro.pascal.errors import NameLookupError
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
 from repro.pascal.symbols import Symbol, SymbolKind
 from repro.slicing.criteria import StaticCriterion
@@ -143,7 +144,7 @@ class StaticSlicer:
                 SymbolKind.PARAMETER,
                 SymbolKind.RESULT,
             ):
-                raise KeyError(
+                raise NameLookupError(
                     f"no variable {name!r} visible in routine {info.name!r}"
                 )
             symbols.add(symbol)

@@ -1,6 +1,9 @@
 """Tracing phase (paper §5.2): execution trees and dynamic dependences.
 
-The tracer runs a program under the interpreter's hooks and produces
+One :class:`~repro.tracing.builder.TraceBuilder`, fed by either
+execution engine (the interpreter's hooks through
+:class:`~repro.tracing.tracer.Tracer`, or the compiled backend's
+closures), produces
 
 * an :class:`~repro.tracing.execution_tree.ExecutionTree` whose nodes are
   unit activations (procedure/function calls, loop units, and loop

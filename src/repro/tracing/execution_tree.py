@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from repro.pascal.errors import NameLookupError
 from repro.pascal.symbols import Symbol
 from repro.pascal.values import format_value
 
@@ -164,7 +165,7 @@ class ExecutionTree:
                 count += 1
                 if count == occurrence:
                     return node
-        raise KeyError(f"no activation #{occurrence} of unit {unit_name!r}")
+        raise NameLookupError(f"no activation #{occurrence} of unit {unit_name!r}")
 
     def render(
         self,

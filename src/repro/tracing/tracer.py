@@ -1,9 +1,13 @@
-"""The tracer: builds execution trees and dynamic dependences (paper §5.2).
+"""The tracer: the interpreter's adapter to the trace builder (paper §5.2).
 
-Implemented as :class:`~repro.pascal.interpreter.ExecutionHooks`. One
-``Tracer`` instance observes one program run and yields a
-:class:`TraceResult` bundling the execution tree, the dynamic dependence
-graph, and the analyses the debugging phase needs.
+:class:`Tracer` is an :class:`~repro.pascal.interpreter.ExecutionHooks`
+implementation that forwards every hook event to the shared
+:class:`~repro.tracing.builder.TraceBuilder`; the rules for the
+execution tree and the dynamic dependences live there, shared with the
+compiled backend. :func:`trace_program` drives either engine through
+one path and yields a :class:`TraceResult` bundling the execution tree,
+the dynamic dependence graph, and the analyses the debugging phase
+needs.
 
 Loop units: when a :class:`LoopUnitInfo` registry is supplied (produced
 by the transformation phase's loop-unit pass), each registered loop
@@ -13,10 +17,9 @@ becomes a unit node in the execution tree with per-iteration child nodes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
+from repro.pascal.errors import PascalRuntimeError
 from repro.pascal.interpreter import (
     Cell,
     ExecutionHooks,
@@ -27,60 +30,31 @@ from repro.pascal.interpreter import (
 )
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
 from repro.pascal.symbols import Symbol
-from repro.pascal.values import UNDEFINED, copy_value
-from repro.tracing.dynamic_deps import DynamicDependenceGraph
-from repro.tracing.execution_tree import (
-    Binding,
-    BindingMode,
-    ExecNode,
-    ExecutionTree,
-    NodeKind,
+from repro.tracing.builder import (
+    LoopUnitInfo,
+    TraceBuilder,
+    TraceResult,
+    UnitPlan,
+    loop_plan,
+    routine_plan,
 )
 
 
-@dataclass(frozen=True)
-class LoopUnitInfo:
-    """Static description of one loop unit (computed by the transformation
-    phase): which variables flow in and out of the loop."""
+def _frame_lookup(symbol: Symbol):
+    """Bind a planned symbol to the interpreter's frame lookup."""
 
-    stmt_id: int
-    name: str
-    inputs: tuple[Symbol, ...]
-    outputs: tuple[Symbol, ...]
+    def lookup(tracer: "Tracer", frame: Frame) -> Cell | None:
+        try:
+            return tracer.interpreter._lookup_cell(symbol, frame)
+        except PascalRuntimeError:
+            return None
 
-
-@dataclass
-class TraceResult:
-    """Everything the debugging phase needs from one traced run."""
-
-    analysis: AnalyzedProgram
-    side_effects: SideEffects
-    tree: ExecutionTree
-    dependence_graph: DynamicDependenceGraph
-    execution: ExecutionResult
-    #: the runtime error that ended the run, when traced tolerantly
-    error: Exception | None = None
-    #: unit active when the error struck (for the user's orientation)
-    crash_unit: str | None = None
-    #: the trace blew its resource budget and this is a salvaged,
-    #: depth-capped partial tree (see docs/ROBUSTNESS.md)
-    degraded: bool = False
-    degraded_reason: str | None = None
-    #: activations dropped when capping the salvaged tree's depth
-    truncated_nodes: int = 0
-    #: which execution backend produced this trace ("interp" | "compiled")
-    backend: str = "interp"
-
-    @property
-    def root(self) -> ExecNode:
-        return self.tree.root
-
-    @property
-    def crashed(self) -> bool:
-        return self.error is not None
+    return lookup
 
 
-class Tracer(ExecutionHooks):
+class Tracer(TraceBuilder, ExecutionHooks):
+    """Feeds the interpreter's hook events to the trace builder."""
+
     def __init__(
         self,
         analysis: AnalyzedProgram,
@@ -89,416 +63,83 @@ class Tracer(ExecutionHooks):
         max_tree_nodes: int | None = None,
         profiler=None,
     ):
-        self.analysis = analysis
-        self.side_effects = (
-            side_effects if side_effects is not None else analyze_side_effects(analysis)
+        super().__init__(
+            analysis,
+            side_effects if side_effects is not None else analyze_side_effects(analysis),
+            max_tree_nodes=max_tree_nodes,
+            profiler=profiler,
         )
-        self.loop_units = loop_units or {}
         self.interpreter: Interpreter | None = None
-        #: memory guard: abort the trace when the tree outgrows this
-        self.max_tree_nodes = max_tree_nodes
-        self._node_count = 0
-        #: optional hot-spot profiler observing activation boundaries
-        #: (:class:`repro.obs.profiler.HotspotProfiler`)
-        self.profiler = profiler
-
-        self.ddg = DynamicDependenceGraph()
-        self._occ_counter = 0
-        self._occ_stack: list[int] = []
-        #: (cell id, element index or None) -> last writing occurrence id
-        self._last_writer: dict[tuple[int, int | None], int] = {}
-        #: pin cells so id() keys stay unique for the lifetime of the trace
-        self._pinned_cells: dict[int, Cell] = {}
-
-        self._entry_live_cache: dict[Symbol, set[Symbol]] = {}
-        self._print_occs: set[int] = set()
-        self.last_active_node_id: int = 0
-        self._root: ExecNode | None = None
-        self._node_stack: list[ExecNode] = []
-        self._tree_index: dict[int, ExecNode] = {}
-        self._output_writers: dict[tuple[int, str], set[int]] = {}
-        #: open loop/iteration bookkeeping: loop stmt id -> (loop node, iter node)
-        self._open_loops: list[tuple[ExecNode, ExecNode | None]] = []
-
-    # ------------------------------------------------------------------
-    # wiring
+        self._plans: dict[Symbol, UnitPlan] = {}
+        self._loop_plans = {
+            stmt_id: loop_plan(unit).bind(_frame_lookup)
+            for stmt_id, unit in (loop_units or {}).items()
+        }
 
     def attach(self, interpreter: Interpreter) -> None:
         self.interpreter = interpreter
 
-    def result(self, execution: ExecutionResult) -> TraceResult:
-        assert self._root is not None, "no traced run"
-        tree = ExecutionTree(root=self._root)
-        tree.occurrence_owner = {
-            occ_id: self._tree_index[occ.exec_node_id]
-            for occ_id, occ in self.ddg.occurrences.items()
-            if occ.exec_node_id in self._tree_index
-        }
-        tree.output_writers = dict(self._output_writers)
-        return TraceResult(
-            analysis=self.analysis,
-            side_effects=self.side_effects,
-            tree=tree,
-            dependence_graph=self.ddg,
-            execution=execution,
-        )
-
-    def _count_node(self) -> None:
-        """Memory guard: a tree node pins bindings and dependence
-        bookkeeping, so runaway traces are aborted (and salvaged by
-        :func:`trace_program` when degradation is enabled)."""
-        self._node_count += 1
-        if self.max_tree_nodes is not None and self._node_count > self.max_tree_nodes:
-            from repro.resilience.errors import TraceAborted
-
-            raise TraceAborted(
-                f"execution tree exceeded {self.max_tree_nodes} activations",
-                reason="tree-nodes",
-            )
+    def _plan(self, info: RoutineInfo) -> UnitPlan:
+        plan = self._plans.get(info.symbol)
+        if plan is None:
+            plan = self._plans[info.symbol] = routine_plan(
+                self.analysis, self.side_effects, info.symbol
+            ).bind(_frame_lookup)
+        return plan
 
     # ------------------------------------------------------------------
-    # occurrences
-
-    def _current_node_id(self) -> int:
-        return self._node_stack[-1].node_id if self._node_stack else 0
-
-    def _push_occurrence(self, stmt: ast.Stmt | None) -> int:
-        self._occ_counter += 1
-        occ = self.ddg.new_occurrence(stmt, self._current_node_id(), self._occ_counter)
-        if self._occ_stack:
-            # Control/nesting dependence on the enclosing occurrence.
-            self.ddg.add_dep(occ.occ_id, self._occ_stack[-1])
-        if self._node_stack:
-            self._node_stack[-1].occurrence_ids.append(occ.occ_id)
-        self._occ_stack.append(occ.occ_id)
-        return occ.occ_id
+    # statements
 
     def before_stmt(self, stmt: ast.Stmt, frame: Frame) -> None:
-        self.last_active_node_id = self._current_node_id()
-        self._push_occurrence(stmt)
+        self.push_occurrence(stmt.node_id, stmt.location.line)
 
     def after_stmt(self, stmt: ast.Stmt, frame: Frame) -> None:
-        self._occ_stack.pop()
+        self.occ_stack.pop()
 
-    def cell_read(self, cell: Cell, index: int | None) -> None:
-        if not self._occ_stack:
-            return
-        current = self._occ_stack[-1]
-        writer = self._last_writer.get((id(cell), index))
-        if writer is not None:
-            self.ddg.add_dep(current, writer)
-        if index is not None:
-            # An element read also depends on whole-array writes.
-            whole = self._last_writer.get((id(cell), None))
-            if whole is not None:
-                self.ddg.add_dep(current, whole)
-
-    def io_write(self, text: str) -> None:
-        # The program's printed output "depends on" every occurrence
-        # that wrote a chunk of it — making the output sliceable.
-        if self._occ_stack:
-            self._print_occs.add(self._occ_stack[-1])
+    cell_read = TraceBuilder.record_read
 
     def cell_write(self, cell: Cell, index: int | None, value: object) -> None:
-        if not self._occ_stack:
-            return
-        self._pinned_cells[id(cell)] = cell
-        self._last_writer[(id(cell), index)] = self._occ_stack[-1]
-        if index is None:
-            # A whole write supersedes element writes.
-            stale = [
-                key
-                for key in self._last_writer
-                if key[0] == id(cell) and key[1] is not None
-            ]
-            for key in stale:
-                del self._last_writer[key]
+        self.record_write(cell, index)
+
+    def io_write(self, text: str) -> None:
+        self.record_print()
 
     # ------------------------------------------------------------------
-    # routine units
+    # units
 
     def enter_routine(
         self, call: ast.Node | None, info: RoutineInfo, frame: Frame
     ) -> None:
-        self._count_node()
         if info.is_main:
-            node = ExecNode(
-                kind=NodeKind.MAIN, unit_name=info.name, routine=info.symbol
-            )
-            self._root = node
-        else:
-            node = ExecNode(
-                kind=NodeKind.CALL,
-                unit_name=info.name,
-                routine=info.symbol,
-                call_site_id=call.node_id if call is not None else None,
-            )
-            if self._node_stack:
-                self._node_stack[-1].add_child(node)
-            else:  # isolated unit call (testing/oracle use)
-                self._root = node
-        self._tree_index[node.node_id] = node
-        node.inputs = self._input_bindings(info, frame)
-        self._node_stack.append(node)
-        if self.profiler is not None:
-            self.profiler.enter_unit(info.name)
-
-        # Attribute incoming parameter values to the call-site occurrence.
-        if self._occ_stack:
-            call_occ = self._occ_stack[-1]
-            for param in info.params:
-                cell = frame.cells.get(param)
-                if cell is None:
-                    continue
-                self._pinned_cells[id(cell)] = cell
-                key = (id(cell), None)
-                if param.param_mode == ast.ParamMode.VALUE:
-                    self._last_writer[key] = call_occ
-                elif key not in self._last_writer:
-                    # First sight of a by-reference cell (e.g. seeded input).
-                    self._last_writer[key] = call_occ
+            self.enter_main(info)
+            return
+        cells = frame.cells
+        self.enter_call(
+            self._plan(info), frame, call.node_id, [cells[p] for p in info.params]
+        )
 
     def exit_routine(
         self, info: RoutineInfo, frame: Frame, via_goto: Symbol | None
     ) -> None:
-        if self.profiler is not None:
-            self.profiler.exit_unit()
-        node = self._node_stack.pop()
-        node.via_goto = via_goto.name if via_goto is not None else None
-        node.outputs = self._output_bindings(info, frame)
-        self._record_output_writers(node, info, frame)
-        # Reading the function result happens at the caller's occurrence.
-        if frame.result_cell is not None and self._occ_stack:
-            writer = self._last_writer.get((id(frame.result_cell), None))
-            if writer is not None:
-                self.ddg.add_dep(self._occ_stack[-1], writer)
-
-    # ------------------------------------------------------------------
-    # loop units
+        if info.is_main:
+            self.exit_main(self.interpreter.io.text)
+        else:
+            self.exit_call(self._plan(info), frame, via_goto, frame.result_cell)
 
     def loop_enter(self, stmt: ast.Stmt, frame: Frame) -> None:
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is None:
-            return
-        self._count_node()
-        node = ExecNode(
-            kind=NodeKind.LOOP,
-            unit_name=unit.name,
-            loop_stmt_id=stmt.node_id,
-        )
-        node.inputs = self._loop_bindings(unit.inputs, frame, BindingMode.IN)
-        if self._node_stack:
-            self._node_stack[-1].add_child(node)
-        self._tree_index[node.node_id] = node
-        self._node_stack.append(node)
-        self._open_loops.append((node, None))
-        if self.profiler is not None:
-            self.profiler.enter_unit(unit.name)
+        plan = self._loop_plans.get(stmt.node_id)
+        if plan is not None:
+            self.enter_loop(plan, frame)
 
     def loop_iteration(self, stmt: ast.Stmt, frame: Frame, iteration: int) -> None:
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is None:
-            return
-        self._count_node()
-        loop_node, iter_node = self._open_loops[-1]
-        if iter_node is not None:
-            self._close_iteration(unit, iter_node, frame)
-        new_iter = ExecNode(
-            kind=NodeKind.ITERATION,
-            unit_name=unit.name,
-            loop_stmt_id=stmt.node_id,
-            iteration=iteration,
-        )
-        new_iter.inputs = self._loop_bindings(unit.inputs, frame, BindingMode.IN)
-        loop_node.add_child(new_iter)
-        self._tree_index[new_iter.node_id] = new_iter
-        self._node_stack.append(new_iter)
-        self._open_loops[-1] = (loop_node, new_iter)
+        plan = self._loop_plans.get(stmt.node_id)
+        if plan is not None:
+            self.next_iteration(plan, frame, iteration)
 
     def loop_exit(self, stmt: ast.Stmt, frame: Frame, iterations: int) -> None:
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is None:
-            return
-        if self.profiler is not None:
-            self.profiler.exit_unit()
-        loop_node, iter_node = self._open_loops.pop()
-        if iter_node is not None:
-            self._close_iteration(unit, iter_node, frame)
-        loop_node.outputs = self._loop_bindings(unit.outputs, frame, BindingMode.OUT)
-        self._record_loop_output_writers(loop_node, unit, frame)
-        popped = self._node_stack.pop()
-        assert popped is loop_node
-
-    def _close_iteration(
-        self, unit: LoopUnitInfo, iter_node: ExecNode, frame: Frame
-    ) -> None:
-        iter_node.outputs = self._loop_bindings(unit.outputs, frame, BindingMode.OUT)
-        popped = self._node_stack.pop()
-        assert popped is iter_node
-
-    # ------------------------------------------------------------------
-    # snapshots
-
-    def _symbol_value(self, symbol: Symbol, frame: Frame) -> object:
-        assert self.interpreter is not None
-        try:
-            cell = self.interpreter._lookup_cell(symbol, frame)
-        except Exception:
-            return UNDEFINED
-        return copy_value(cell.value)
-
-    def _symbol_cell(self, symbol: Symbol, frame: Frame) -> Cell | None:
-        assert self.interpreter is not None
-        try:
-            return self.interpreter._lookup_cell(symbol, frame)
-        except Exception:
-            return None
-
-    def _entry_live(self, info: RoutineInfo) -> set[Symbol]:
-        """Symbols whose *incoming* value the routine may actually use.
-
-        A var parameter (or read global) that is always overwritten before
-        any read carries no meaningful input value; live-variables at the
-        routine entry is exactly the right filter for "In" bindings.
-        """
-        cached = self._entry_live_cache.get(info.symbol)
-        if cached is not None:
-            return cached
-        from repro.analysis.cfg import build_cfg
-        from repro.analysis.dataflow import live_variables
-
-        cfg = build_cfg(info, self.analysis)
-        live = live_variables(cfg, self.side_effects)
-        # live *after* the entry node (parameter binding): the incoming
-        # values the body may actually read.
-        result = set(live.live_out[cfg.entry])
-        self._entry_live_cache[info.symbol] = result
-        return result
-
-    def _input_bindings(self, info: RoutineInfo, frame: Frame) -> list[Binding]:
-        if info.is_main:
-            return []
-        effects = self.side_effects.of(info.symbol)
-        entry_live = self._entry_live(info)
-        bindings: list[Binding] = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VALUE, ast.ParamMode.IN_):
-                bindings.append(
-                    Binding(param.name, BindingMode.IN, self._symbol_value(param, frame))
-                )
-            elif param in effects.ref_params and param in entry_live:
-                bindings.append(
-                    Binding(param.name, BindingMode.IN, self._symbol_value(param, frame))
-                )
-        for symbol in sorted(effects.gref, key=lambda s: s.name):
-            if symbol in entry_live:
-                bindings.append(
-                    Binding(
-                        symbol.name,
-                        BindingMode.IN,
-                        self._symbol_value(symbol, frame),
-                        is_global=True,
-                    )
-                )
-        return bindings
-
-    def _output_bindings(self, info: RoutineInfo, frame: Frame) -> list[Binding]:
-        if info.is_main:
-            # The program's observable result is what it printed: that is
-            # the "externally visible symptom" the whole session starts
-            # from, so the root node carries it as an output.
-            assert self.interpreter is not None
-            text = self.interpreter.io.text
-            if text:
-                return [Binding("output", BindingMode.OUT, text)]
-            return []
-        effects = self.side_effects.of(info.symbol)
-        bindings: list[Binding] = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT):
-                if param in effects.mod_params:
-                    bindings.append(
-                        Binding(
-                            param.name, BindingMode.OUT, self._symbol_value(param, frame)
-                        )
-                    )
-        for symbol in sorted(effects.gmod, key=lambda s: s.name):
-            bindings.append(
-                Binding(
-                    symbol.name,
-                    BindingMode.OUT,
-                    self._symbol_value(symbol, frame),
-                    is_global=True,
-                )
-            )
-        if frame.result_cell is not None:
-            bindings.append(
-                Binding(
-                    info.name, BindingMode.RESULT, copy_value(frame.result_cell.value)
-                )
-            )
-        return bindings
-
-    def _loop_bindings(
-        self, symbols: tuple[Symbol, ...], frame: Frame, mode: BindingMode
-    ) -> list[Binding]:
-        return [
-            Binding(symbol.name, mode, self._symbol_value(symbol, frame))
-            for symbol in symbols
-        ]
-
-    # ------------------------------------------------------------------
-    # slice criteria support
-
-    def _writers_of_cell(self, cell: Cell) -> set[int]:
-        writers: set[int] = set()
-        for (cell_id, _index), occ in self._last_writer.items():
-            if cell_id == id(cell):
-                writers.add(occ)
-        return writers
-
-    def _record_output_writers(
-        self, node: ExecNode, info: RoutineInfo, frame: Frame
-    ) -> None:
-        for binding in node.outputs:
-            if info.is_main and binding.name == "output":
-                self._output_writers[(node.node_id, "output")] = set(
-                    self._print_occs
-                )
-                continue
-            if binding.mode is BindingMode.RESULT:
-                cell = frame.result_cell
-            else:
-                symbol = self._find_output_symbol(info, binding)
-                cell = self._symbol_cell(symbol, frame) if symbol is not None else None
-            if cell is not None:
-                self._output_writers[(node.node_id, binding.name)] = (
-                    self._writers_of_cell(cell)
-                )
-
-    def _record_loop_output_writers(
-        self, node: ExecNode, unit: LoopUnitInfo, frame: Frame
-    ) -> None:
-        for symbol in unit.outputs:
-            cell = self._symbol_cell(symbol, frame)
-            if cell is not None:
-                self._output_writers[(node.node_id, symbol.name)] = (
-                    self._writers_of_cell(cell)
-                )
-
-    def _find_output_symbol(
-        self, info: RoutineInfo, binding: Binding
-    ) -> Symbol | None:
-        if binding.is_global:
-            effects = self.side_effects.of(info.symbol)
-            for symbol in effects.gmod:
-                if symbol.name == binding.name:
-                    return symbol
-            return None
-        for param in info.params:
-            if param.name == binding.name:
-                return param
-        return None
+        plan = self._loop_plans.get(stmt.node_id)
+        if plan is not None:
+            self.exit_loop(plan, frame)
 
 
 def trace_program(
@@ -546,25 +187,26 @@ def trace_program(
     )
     from repro.resilience import faults
     from repro.resilience.budget import DEFAULT_SALVAGE_DEPTH
-    from repro.compile import compiled_trace_session, resolve_backend
+    from repro.compile import compile_program, resolve_backend
     from repro.resilience.errors import BudgetExceeded, TraceAborted
 
     backend = resolve_backend(backend)
     max_tree_nodes = budget.max_tree_nodes if budget is not None else None
+    io = PascalIO(inputs)
     if backend == "compiled":
-        # One object is both the runner and the event collector.
-        collector = runner = compiled_trace_session(
-            analysis,
-            inputs=inputs,
-            side_effects=side_effects,
-            loop_units=loop_units,
+        from repro.compile.emit import TraceSession
+
+        # One object is both the runner and the trace builder.
+        builder = runner = TraceSession(
+            compile_program(analysis, side_effects=side_effects, loop_units=loop_units),
+            io=io,
             step_limit=step_limit,
             budget=budget,
             max_tree_nodes=max_tree_nodes,
             profiler=profiler,
         )
     else:
-        collector = tracer = Tracer(
+        builder = Tracer(
             analysis,
             side_effects=side_effects,
             loop_units=loop_units,
@@ -572,10 +214,9 @@ def trace_program(
             profiler=profiler,
         )
         runner = Interpreter(
-            analysis, io=PascalIO(inputs), hooks=tracer, step_limit=step_limit,
-            budget=budget,
+            analysis, io=io, hooks=builder, step_limit=step_limit, budget=budget
         )
-        tracer.attach(runner)
+        builder.attach(runner)
     error: Exception | None = None
     degraded_reason: str | None = None
     with obs.span("trace.execute", program=analysis.program.name, backend=backend):
@@ -598,12 +239,8 @@ def trace_program(
             execution = ExecutionResult(
                 io=runner.io, globals_frame=frame, steps=runner.steps
             )
-    result = collector.result(execution)
+    result = builder.result(execution, error)
     result.backend = backend
-    result.error = error
-    if error is not None:
-        crash_node = collector._tree_index.get(collector.last_active_node_id)
-        result.crash_unit = crash_node.unit_name if crash_node is not None else None
     if degraded_reason is not None:
         from repro.resilience.degrade import cap_depth
 

@@ -311,6 +311,31 @@ class TestExitCodes:
         ) == 0
         assert "decrement" in capsys.readouterr().out
 
+    def test_unknown_routine_is_code_2(self, fig2, capsys):
+        code = main(["slice", fig2, "--routine", "nosuch", "--variable", "x"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no routine named 'nosuch'\n"
+
+    def test_unknown_unit_is_code_2(self, fig4, capsys):
+        code = main(["slice", fig4, "--unit", "nosuch", "--variable", "x"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: no activation #1")
+
+    @pytest.mark.parametrize(
+        "error", [KeyError("stale slot"), RuntimeError("invariant broken")]
+    )
+    def test_internal_error_is_code_3(self, fig4, capsys, monkeypatch, error):
+        import repro.cli
+
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(repro.cli, "cmd_run", broken)
+        assert main(["run", fig4]) == 3
+        err = capsys.readouterr().err
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
+        assert "Traceback" not in err
+
 
 class TestProfileAndEvents:
     def test_debug_profile_prints_answer_sources(self, fig4, fig4_fixed, capsys):
